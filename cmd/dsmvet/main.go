@@ -9,16 +9,9 @@
 // Packages default to ./... (the whole module). Each analyzer can be
 // disabled individually, e.g. -maporder=false. Exit status: 0 clean, 1 when
 // any diagnostic is reported, 2 on a loading or internal error.
-//
-// With -json, stdout carries a machine-readable report — the diagnostics
-// plus the per-protocol domain-safety reports the domainescape analyzer
-// builds (the escape inventory behind each DomainSafe() declaration) — and
-// the human-readable diagnostics go to stderr. CI uploads this report as an
-// artifact so the escape inventory is diffable per PR.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -26,26 +19,12 @@ import (
 	"repro/internal/analysis"
 )
 
-// jsonReport is the -json output schema.
-type jsonReport struct {
-	Schema       int                       `json:"schema"`
-	Diagnostics  []jsonDiag                `json:"diagnostics"`
-	DomainSafety []analysis.ProtocolReport `json:"domainSafety"`
-}
-
-type jsonDiag struct {
-	Pos      string `json:"pos"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
 func main() {
 	all := analysis.Analyzers()
 	enabled := make(map[string]*bool, len(all))
 	for _, a := range all {
 		enabled[a.Name] = flag.Bool(a.Name, true, a.Doc)
 	}
-	jsonOut := flag.Bool("json", false, "emit diagnostics and the domain-safety report as JSON on stdout")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: dsmvet [flags] [packages]\n\nAnalyzers (all on by default):\n")
 		flag.PrintDefaults()
@@ -79,37 +58,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *jsonOut {
-		out := jsonReport{Schema: 1, Diagnostics: []jsonDiag{}}
-		for _, d := range diags {
-			out.Diagnostics = append(out.Diagnostics, jsonDiag{
-				Pos:      d.Pos.String(),
-				Analyzer: d.Analyzer,
-				Message:  d.Message,
-			})
-			fmt.Fprintln(os.Stderr, d)
-		}
-		if *enabled[analysis.DomainEscape.Name] {
-			reports, err := analysis.DomainEscapeReports(pkgs)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "dsmvet:", err)
-				os.Exit(2)
-			}
-			out.DomainSafety = reports
-		}
-		if out.DomainSafety == nil {
-			out.DomainSafety = []analysis.ProtocolReport{}
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "dsmvet:", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
+	for _, d := range diags {
+		fmt.Println(d)
 	}
 	if len(diags) > 0 {
 		os.Exit(1)

@@ -128,10 +128,6 @@ func TestDomainConfinedFixtures(t *testing.T) {
 	runFixtureTest(t, DomainConfined, "confined/...")
 }
 
-func TestDomainEscapeFixtures(t *testing.T) {
-	runFixtureTest(t, DomainEscape, "descape/...")
-}
-
 func TestCapsGateFixtures(t *testing.T) {
 	runFixtureTest(t, CapsGate, "capsgate/...")
 }

@@ -9,17 +9,17 @@ import (
 // (documented in DESIGN.md "Machine-checked invariants"):
 //
 //   - a struct field whose doc or line comment contains
-//     "dsmvet:domain-confined" is scheduling state owned by one domain's
-//     baton holder — it must never be touched by a goroutine that does not
-//     provably hold that domain's baton;
+//     "dsmvet:domain-confined" is scheduling state owned by the baton
+//     holder — it must never be touched by a goroutine that does not
+//     provably hold the engine's baton;
 //   - a function or method whose doc comment contains "dsmvet:dispatch" is
-//     a declared dispatch path: it runs only while holding the owning
-//     domain's baton (or while the domain is provably quiescent, e.g. the
-//     coordinator between windows, or Run before workers start).
+//     a declared dispatch path: it runs only while holding the baton (or
+//     while the engine is provably quiescent, e.g. Run before any processor
+//     goroutine starts).
 //
-// The analyzer mechanizes the confinement contract of internal/sim's domain
-// struct (DESIGN.md §3b): every syntactic access to a confined field must
-// occur inside an annotated dispatch function. The allowlist is
+// The analyzer mechanizes the confinement contract of internal/sim's
+// Engine scheduling state (DESIGN.md §3a): every syntactic access to a
+// confined field must occur inside an annotated dispatch function. The allowlist is
 // package-level — the set of annotated declarations in the package that
 // declares the field — so adding a new access path forces the author to
 // annotate it, and the annotation is the reviewable claim that the new path
@@ -34,7 +34,7 @@ const (
 var DomainConfined = &Analyzer{
 	Name: "domainconfined",
 	Doc: "restrict dsmvet:domain-confined fields to dsmvet:dispatch " +
-		"functions (the owning domain's scheduling paths)",
+		"functions (the engine's baton-holding scheduling paths)",
 	Run: runDomainConfined,
 }
 
@@ -81,7 +81,7 @@ func runDomainConfined(pass *Pass) error {
 			if fn != nil {
 				where = fn.Name.Name
 			}
-			pass.Reportf(id.Pos(), "domain-confined field %q accessed from %s, which is not an annotated dispatch path: only functions marked %s may touch per-domain scheduling state", id.Name, where, DispatchMarker)
+			pass.Reportf(id.Pos(), "domain-confined field %q accessed from %s, which is not an annotated dispatch path: only functions marked %s may touch baton-confined scheduling state", id.Name, where, DispatchMarker)
 		})
 	}
 	return nil

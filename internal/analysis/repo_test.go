@@ -45,21 +45,18 @@ func TestRepositoryIsClean(t *testing.T) {
 // enforce against: if the markers in internal/sim were deleted, DomainConfined
 // and the env-switch exemption would silently pass on everything.
 func TestDomainAnnotationsPresent(t *testing.T) {
-	domain, err := os.ReadFile(filepath.Join("..", "sim", "domain.go"))
-	if err != nil {
-		t.Fatalf("reading internal/sim/domain.go: %v", err)
-	}
-	if n := strings.Count(string(domain), ConfinedMarker); n < 5 {
-		t.Errorf("internal/sim/domain.go has %d %s markers, want at least 5", n, ConfinedMarker)
-	}
-	if !strings.Contains(string(domain), DispatchMarker) {
-		t.Errorf("internal/sim/domain.go has no %s markers", DispatchMarker)
-	}
-	sim, err := os.ReadFile(filepath.Join("..", "sim", "sim.go"))
+	src, err := os.ReadFile(filepath.Join("..", "sim", "sim.go"))
 	if err != nil {
 		t.Fatalf("reading internal/sim/sim.go: %v", err)
 	}
-	if n := strings.Count(string(sim), EnvSwitchMarker); n < 2 {
-		t.Errorf("internal/sim/sim.go has %d %s markers, want at least 2 (SIM_NO_FASTPATH, SIM_PARALLEL)", n, EnvSwitchMarker)
+	sim := string(src)
+	if n := strings.Count(sim, ConfinedMarker); n < 5 {
+		t.Errorf("internal/sim/sim.go has %d %s markers, want at least 5", n, ConfinedMarker)
+	}
+	if !strings.Contains(sim, DispatchMarker) {
+		t.Errorf("internal/sim/sim.go has no %s markers", DispatchMarker)
+	}
+	if n := strings.Count(sim, EnvSwitchMarker); n != 1 {
+		t.Errorf("internal/sim/sim.go has %d %s markers, want 1 (SIM_NO_FASTPATH)", n, EnvSwitchMarker)
 	}
 }

@@ -125,11 +125,12 @@ type Interconnect interface {
 	// Caps declares the model's guarantees.
 	Caps() Caps
 
-	// MinCrossNodeLatency is the smallest virtual latency any cross-node
-	// interaction modeled by this backend can carry: the safe lookahead a
-	// node-parallel simulation (sim.SetLookahead) may declare. It does NOT
-	// cover msg.Endpoint.Shutdown, which delivers teardown notices at zero
-	// latency; a parallel run must quiesce cross-node traffic first.
+	// MinCrossNodeLatency is the backend's declared latency floor: the
+	// smallest virtual latency any cross-node interaction it models can
+	// carry; the conformance suite and the messaging round-trip test check
+	// modeled arrivals against it. It does NOT cover
+	// msg.Endpoint.Shutdown, which delivers teardown notices at zero
+	// latency.
 	MinCrossNodeLatency() sim.Time
 	// InterruptSendCost is the sender-side cost of an inter-node signal.
 	InterruptSendCost() sim.Time

@@ -357,8 +357,8 @@ func TestWordVisibilityTwoWritesWindow(t *testing.T) {
 	}
 }
 
-// TestMinCrossNodeLatency checks the declared parallel-simulation lookahead:
-// it must be the smallest latency any cross-node interaction can carry, and
+// TestMinCrossNodeLatency checks the declared cross-node latency floor: it
+// must be the smallest latency any cross-node interaction can carry, and
 // every modeled cross-node arrival must respect it.
 func TestMinCrossNodeLatency(t *testing.T) {
 	if got, want := MCFirstGeneration().MinCrossNodeLatency(), sim.Time(5200); got != want {
@@ -381,7 +381,7 @@ func TestMinCrossNodeLatency(t *testing.T) {
 		issue := p.Now()
 		arrival := net.Transfer(p, 1, 1, TrafficMessage)
 		if arrival < issue+la {
-			t.Errorf("1-byte transfer arrived at %d, before issue %d + lookahead %d", arrival, issue, la)
+			t.Errorf("1-byte transfer arrived at %d, before issue %d + floor %d", arrival, issue, la)
 		}
 		net.Interrupt(p, eng.Proc(1), 1, nil)
 	})
@@ -394,6 +394,6 @@ func TestMinCrossNodeLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	if intrAt < la {
-		t.Errorf("interrupt arrived at %d, inside the %d lookahead", intrAt, la)
+		t.Errorf("interrupt arrived at %d, inside the %d latency floor", intrAt, la)
 	}
 }

@@ -7,10 +7,11 @@ import (
 	"time"
 )
 
-// irregularWorkload drives yields, quantum yields, message traffic, and
-// block/wake pairs across eight processors and returns the final clocks.
-// Used to compare the fast scheduling paths against the plain engine loop.
-func irregularWorkload(t *testing.T, fast bool) ([]Time, uint64, uint64) {
+// irregularWorkload drives yields, quantum yields, message traffic, spin
+// waits, and block/wake pairs across eight processors and returns the final
+// clocks plus the engine for counter inspection. Used to compare the fast
+// scheduling paths against the plain engine loop.
+func irregularWorkload(t *testing.T, fast bool) ([]Time, *Engine) {
 	t.Helper()
 	e := mustEngine(t, 2, 4)
 	e.SetFastYield(fast)
@@ -33,6 +34,21 @@ func irregularWorkload(t *testing.T, fast bool) ([]Time, uint64, uint64) {
 					target.Deliver(p.NewMsg(p.Now()+Time(100+i), step, nil))
 					e.WakeAt(target, p.Now()+Time(50+i))
 				}
+				if step%7 == 3 {
+					// Spin until a message is visible or a bounded number of
+					// probes pass, advancing like a backoff loop. Parked, the
+					// poll is evaluated inline by whichever goroutine
+					// dispatches this processor.
+					probes := 0
+					p.PollWait(func() (bool, Time) {
+						if _, ok := p.PeekInbox(); ok || probes > 25 {
+							return true, 0
+						}
+						probes++
+						p.Advance(150)
+						return false, p.Now()
+					})
+				}
 				for {
 					if _, ok := p.TryRecv(); !ok {
 						break
@@ -51,20 +67,25 @@ func irregularWorkload(t *testing.T, fast bool) ([]Time, uint64, uint64) {
 	for i, p := range e.Procs() {
 		clocks[i] = p.Now()
 	}
-	return clocks, e.ElidedYields(), e.DirectHandoffs()
+	return clocks, e
 }
 
 // TestFastYieldEquivalence checks that yield elision and direct baton handoff
-// are bit-exact: the same irregular workload must land every processor on
-// exactly the same final clock with the fast paths on and off.
+// and inline poll evaluation are bit-exact: the same irregular workload must
+// land every processor on exactly the same final clock with the fast paths
+// on and off.
 func TestFastYieldEquivalence(t *testing.T) {
-	slow, slowElided, slowHandoffs := irregularWorkload(t, false)
-	fast, fastElided, fastHandoffs := irregularWorkload(t, true)
-	if slowElided != 0 || slowHandoffs != 0 {
-		t.Fatalf("slow path took fast paths: elided=%d handoffs=%d", slowElided, slowHandoffs)
+	slow, se := irregularWorkload(t, false)
+	fast, fe := irregularWorkload(t, true)
+	if se.ElidedYields() != 0 || se.DirectHandoffs() != 0 || se.InlinePolls() != 0 {
+		t.Fatalf("slow path took fast paths: elided=%d handoffs=%d polls=%d",
+			se.ElidedYields(), se.DirectHandoffs(), se.InlinePolls())
 	}
-	if fastElided == 0 && fastHandoffs == 0 {
+	if fe.ElidedYields() == 0 && fe.DirectHandoffs() == 0 {
 		t.Fatal("fast path never elided or handed off; workload not exercising it")
+	}
+	if fe.InlinePolls() == 0 {
+		t.Fatal("fast path never evaluated a poll inline; workload not exercising it")
 	}
 	for i := range slow {
 		if slow[i] != fast[i] {
@@ -129,21 +150,38 @@ func waitGoroutines(want int, deadline time.Duration) int {
 }
 
 // TestNoGoroutineLeakOnDeadlock checks that an aborted Run unwinds every
-// parked processor goroutine instead of leaking it.
+// parked processor goroutine instead of leaking it, including one whose spin
+// wait was evaluated inline by dispatchers before it gave up and blocked.
 func TestNoGoroutineLeakOnDeadlock(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
-		e := mustEngine(t, 1, 4)
-		for _, p := range e.Procs() {
+		e := mustEngine(t, 1, 5)
+		e.SetFastYield(true)
+		for _, p := range e.Procs()[:4] {
 			e.Go(p, func(p *Proc) {
 				p.Advance(Time(p.ID * 10))
 				p.Yield()
 				p.Block("leak-test: never woken")
 			})
 		}
+		e.Go(e.Proc(4), func(p *Proc) {
+			probes := 0
+			p.PollWait(func() (bool, Time) {
+				if _, ok := p.PeekInbox(); ok || probes > 10 {
+					return true, 0
+				}
+				probes++
+				p.Advance(5)
+				return false, p.Now()
+			})
+			p.Block("leak-test: spin gave up")
+		})
 		err := e.Run()
 		if err == nil || !strings.Contains(err.Error(), "deadlock") {
 			t.Fatalf("Run = %v, want deadlock", err)
+		}
+		if e.InlinePolls() == 0 {
+			t.Fatal("spin wait was never evaluated inline; not exercising the poll path")
 		}
 	}
 	if n := waitGoroutines(base+2, 5*time.Second); n > base+2 {
@@ -152,16 +190,34 @@ func TestNoGoroutineLeakOnDeadlock(t *testing.T) {
 }
 
 // TestNoGoroutineLeakOnPanic checks the same for the panic abort path, with
-// the surviving processors parked at various scheduling points.
+// the surviving processors parked at various scheduling points, one of them
+// inside a spin wait that never completes. Every other iteration the panic
+// comes from a poll closure instead of a body: a dispatcher evaluating it
+// inline must fail the run the same way.
 func TestNoGoroutineLeakOnPanic(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
-		e := mustEngine(t, 1, 4)
-		e.Go(e.Proc(0), func(p *Proc) {
-			p.Advance(500)
-			p.Yield()
-			panic("leak-test boom")
-		})
+		e := mustEngine(t, 1, 5)
+		e.SetFastYield(true)
+		if i%2 == 0 {
+			e.Go(e.Proc(0), func(p *Proc) {
+				p.Advance(500)
+				p.Yield()
+				panic("leak-test boom")
+			})
+		} else {
+			e.Go(e.Proc(0), func(p *Proc) {
+				probes := 0
+				p.PollWait(func() (bool, Time) {
+					if probes == 5 {
+						panic("leak-test poll boom")
+					}
+					probes++
+					p.Advance(100)
+					return false, p.Now()
+				})
+			})
+		}
 		e.Go(e.Proc(1), func(p *Proc) {
 			for {
 				p.Advance(100)
@@ -170,9 +226,19 @@ func TestNoGoroutineLeakOnPanic(t *testing.T) {
 		})
 		e.Go(e.Proc(2), func(p *Proc) { p.Block("leak-test: parked") })
 		e.Go(e.Proc(3), func(p *Proc) { p.YieldUntil(Second) })
+		e.Go(e.Proc(4), func(p *Proc) {
+			p.PollWait(func() (bool, Time) {
+				p.Advance(70)
+				return false, p.Now()
+			})
+		})
 		err := e.Run()
-		if err == nil || !strings.Contains(err.Error(), "boom") {
-			t.Fatalf("Run = %v, want panic propagation", err)
+		want := "boom"
+		if i%2 == 1 {
+			want = "poll panicked: leak-test poll boom"
+		}
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Run = %v, want panic propagation (%q)", err, want)
 		}
 	}
 	if n := waitGoroutines(base+2, 5*time.Second); n > base+2 {

@@ -7,8 +7,8 @@ import (
 
 // Proc is one simulated processor. All of its methods must be called from the
 // processor's own body function (the goroutine started by Run), except
-// Deliver and WakeAt which are called from whichever processor currently
-// holds the baton.
+// Deliver, which is called from whichever processor currently holds the
+// baton.
 type Proc struct {
 	// ID is the global processor id, 0..NumProcs-1, dense by node.
 	ID int
@@ -18,7 +18,6 @@ type Proc struct {
 	CPU int
 
 	eng    *Engine
-	dom    *domain
 	body   func(*Proc)
 	resume chan struct{}
 
@@ -105,18 +104,18 @@ func (p *Proc) run() {
 			return
 		}
 		if r != nil {
-			p.dom.reports <- report{p: p, kind: reportPanic, err: fmt.Errorf("sim: proc %d panicked: %v", p.ID, r)}
+			p.eng.reports <- report{p: p, kind: reportPanic, err: fmt.Errorf("sim: proc %d panicked: %v", p.ID, r)}
 			return
 		}
 		if !done {
 			// The body exited via runtime.Goexit (e.g. t.Fatalf in a test
 			// body). Report it so the engine does not hang.
-			p.dom.reports <- report{p: p, kind: reportPanic, err: fmt.Errorf("sim: proc %d exited abnormally (runtime.Goexit)", p.ID)}
+			p.eng.reports <- report{p: p, kind: reportPanic, err: fmt.Errorf("sim: proc %d exited abnormally (runtime.Goexit)", p.ID)}
 		}
 	}()
 	p.body(p)
 	done = true
-	p.dom.reports <- report{p: p, kind: reportDone}
+	p.eng.reports <- report{p: p, kind: reportDone}
 }
 
 // Yield hands the baton back to the scheduler and resumes when this processor
@@ -139,16 +138,17 @@ func (p *Proc) YieldUntil(t Time) {
 // dsmvet:dispatch — runs on the yielding processor's goroutine, which holds
 // the baton.
 func (p *Proc) yieldUntil(t Time) {
-	if p.dom.polling {
+	e := p.eng
+	if e.polling {
 		panic(fmt.Sprintf("sim: proc %d yielded inside a dispatcher-run poll (PollWait closures must not yield)", p.ID))
 	}
-	if p.dom.canElide(t) {
+	if e.canElide(t) {
 		// Fast path: the scheduler would hand the baton straight back, so
 		// perform exactly the state updates the round-trip would have made —
 		// reset the quantum origin and advance the clock to the resume time —
 		// and keep running. Bit-exact with the slow path: no other processor
 		// could have run in between.
-		p.dom.elided++
+		e.elided++
 		p.lastYield = p.now
 		if t > p.now {
 			p.now = t
@@ -156,15 +156,23 @@ func (p *Proc) yieldUntil(t Time) {
 		return
 	}
 	p.lastYield = p.now
-	if p.eng.fastYield && p.dom.handoff(p, t) {
-		// Baton passed (or bounced straight back) without waking the dispatcher.
+	if e.fastYield {
+		// Pass the baton (or take it straight back) without waking the
+		// dispatch loop.
+		e.handoff(p, t)
 		if p.killed {
 			runtime.Goexit()
 		}
 		return
 	}
+	p.reportYield(t)
+}
+
+// reportYield is the slow-path yield: it reports to the dispatch loop, which
+// re-queues p at t, and parks until p is dispatched again.
+func (p *Proc) reportYield(t Time) {
 	p.queuedAt = t
-	p.dom.reports <- report{p: p, kind: reportYield, at: t}
+	p.eng.reports <- report{p: p, kind: reportYield, at: t}
 	<-p.resume
 	if p.killed {
 		runtime.Goexit()
@@ -179,7 +187,7 @@ func (p *Proc) yieldUntil(t Time) {
 // This is the scheduling primitive behind spin waits. Its value over a plain
 // sleep-yield loop is host cost: when the processor parks, the poll closure
 // is registered with the scheduler, and whichever goroutine dispatches the
-// processor's queue entry — a peer's direct handoff or the domain worker —
+// processor's queue entry — a peer's direct handoff or the dispatch loop —
 // evaluates the poll inline, re-queueing on false without ever switching to
 // this goroutine. The processor's goroutine is only resumed when the poll
 // reports done. A contended spin that used to cost two goroutine switches
@@ -188,7 +196,7 @@ func (p *Proc) yieldUntil(t Time) {
 // same effects — only the host goroutine executing it differs.
 //
 // dsmvet:dispatch — runs on the polling processor's goroutine, which holds
-// the baton at every touch of domain state.
+// the baton at every touch of scheduling state.
 //
 // The contract is that poll must not yield, block, park, or otherwise touch
 // the scheduler (delivering messages and waking other processors is fine) —
@@ -196,6 +204,7 @@ func (p *Proc) yieldUntil(t Time) {
 // panic. Polls also must not close over goroutine identity (goroutine-local
 // state, testing.T.Helper, ...).
 func (p *Proc) PollWait(poll func() (done bool, next Time)) {
+	e := p.eng
 	for {
 		done, next := poll()
 		if done {
@@ -204,10 +213,10 @@ func (p *Proc) PollWait(poll func() (done bool, next Time)) {
 		if next < p.now {
 			next = p.now
 		}
-		if p.dom.canElide(next) {
+		if e.canElide(next) {
 			// Nothing else can run before next: skip the park entirely,
 			// exactly as an elided yield would.
-			p.dom.elided++
+			e.elided++
 			p.lastYield = p.now
 			if next > p.now {
 				p.now = next
@@ -215,40 +224,21 @@ func (p *Proc) PollWait(poll func() (done bool, next Time)) {
 			continue
 		}
 		p.lastYield = p.now
-		if !p.eng.fastYield {
+		if !e.fastYield {
 			// Slow path pinned (SIM_NO_FASTPATH): behave exactly like a
 			// sleep-yield loop, evaluating every poll on this goroutine.
-			p.queuedAt = next
-			p.dom.reports <- report{p: p, kind: reportYield, at: next}
-			<-p.resume
-			if p.killed {
-				runtime.Goexit()
-			}
+			p.reportYield(next)
 			continue
 		}
 		p.poll = poll
-		if p.dom.handoff(p, next) {
-			if p.killed {
-				runtime.Goexit()
-			}
-			if p.poll == nil {
-				return // a dispatcher saw the poll report done and resumed us
-			}
-			p.poll = nil // own entry bounced straight back: keep polling here
-			continue
-		}
-		// No successor inside the window: report to the worker, which will
-		// evaluate the poll inline from its dispatch loop.
-		p.queuedAt = next
-		p.dom.reports <- report{p: p, kind: reportYield, at: next}
-		<-p.resume
+		e.handoff(p, next)
 		if p.killed {
 			runtime.Goexit()
 		}
 		if p.poll == nil {
-			return
+			return // a dispatcher saw the poll report done and resumed us
 		}
-		p.poll = nil
+		p.poll = nil // own entry bounced straight back: keep polling here
 	}
 }
 
@@ -282,7 +272,8 @@ func (p *Proc) CheckpointQuiet(quantum Time) bool {
 // processor does not park. Callers must therefore treat Block as a condition
 // variable wait: re-check the condition in a loop.
 func (p *Proc) Block(reason string) {
-	if p.dom.polling {
+	e := p.eng
+	if e.polling {
 		panic(fmt.Sprintf("sim: proc %d blocked inside a dispatcher-run poll (PollWait closures must not block)", p.ID))
 	}
 	if p.wakeToken {
@@ -292,18 +283,12 @@ func (p *Proc) Block(reason string) {
 	}
 	p.blockReason = reason
 	p.lastYield = p.now
-	if p.eng.fastYield && p.dom.dispatchBlocked(p) {
-		// Baton passed directly; a WakeAt re-queued us and a dispatcher
-		// (worker or peer) handed it back.
-	} else {
-		kind := reportBlock
-		if p.state == stateQueued {
-			// An inline poll's delivery woke us while dispatchBlocked was
-			// looking for a successor, but our entry lies past the window
-			// horizon: park as queued, not blocked, so the entry stays live.
-			kind = reportParked
-		}
-		p.dom.reports <- report{p: p, kind: kind}
+	if !(e.fastYield && e.dispatchBlocked(p)) {
+		// Slow path, or nothing else is runnable (the dispatch loop then
+		// finds its queue drained and reports a deadlock). On the fast path
+		// the baton passed directly instead; a WakeAt re-queued us and a
+		// dispatcher handed it back.
+		e.reports <- report{p: p, kind: reportBlock}
 		<-p.resume
 	}
 	if p.killed {
@@ -313,53 +298,26 @@ func (p *Proc) Block(reason string) {
 	p.wakeToken = false // the wake that resumed us is consumed
 }
 
-// wakeLocal makes the target processor runnable no earlier than virtual time
-// t in its own domain and deposits a wake token consumed by the target's next
-// Block. If the target is blocked it is queued to resume at max(its clock,
-// t). If it is already queued with a later resume time, the earlier time
-// wins. Must only run while the target's domain is quiescent for the caller:
-// by the domain's own baton holder, or by the coordinator between windows.
-func wakeLocal(target *Proc, t Time) {
+// WakeAt makes the target processor runnable no earlier than virtual time
+// t and deposits a wake token consumed by the target's next Block. If the
+// target is blocked it is queued to resume at max(its clock, t). If it is
+// already queued with a later resume time, the earlier time wins. It must
+// be called by the processor currently holding the baton (or before Run).
+func (e *Engine) WakeAt(target *Proc, t Time) {
 	if !target.wakeToken || t < target.wakeTokenAt {
 		target.wakeToken = true
 		target.wakeTokenAt = t
 	}
 	switch target.state {
 	case stateBlocked:
-		target.dom.enqueue(target, t)
+		e.enqueue(target, t)
 	case stateQueued:
 		if t < target.queuedAt {
 			// Supersede the stale entry: pushing with a fresh sequence stamp
 			// invalidates the old one, which is skipped when popped.
-			target.dom.enqueue(target, t)
+			e.enqueue(target, t)
 		}
 	}
-}
-
-// WakeAt makes the target processor runnable no earlier than virtual time t.
-// It must be called by the processor currently holding the baton (or by the
-// engine before Run). In parallel mode the engine cannot tell which domain
-// the calling goroutine belongs to, so this form is only legal sequentially;
-// use Proc.WakeAt, which names the caller, instead.
-func (e *Engine) WakeAt(target *Proc, t Time) {
-	if e.parallelActive {
-		panic("sim: Engine.WakeAt is ambiguous in parallel mode; use the caller's Proc.WakeAt")
-	}
-	wakeLocal(target, t)
-}
-
-// WakeAt makes target runnable no earlier than virtual time t, with p — the
-// processor currently holding its domain's baton — as the caller. Within a
-// domain (or a sequential engine) this is the plain wake. Across domains the
-// wake is staged and applied by the coordinator at the next window boundary;
-// t must then be at least the engine's lookahead past p's clock.
-func (p *Proc) WakeAt(target *Proc, t Time) {
-	if !p.eng.parallelActive || target.dom == p.dom {
-		wakeLocal(target, t)
-		return
-	}
-	p.eng.checkLookahead(p, t)
-	target.dom.stage(crossEvent{kind: crossWake, target: target.ID, at: t, from: p.dom.id})
 }
 
 // SleepUntil advances the processor's clock to virtual time t and yields, so

@@ -1,14 +1,11 @@
 // Package sim provides a deterministic discrete-event simulation engine for a
 // cluster of SMP nodes.
 //
-// Each simulated processor is a goroutine with its own virtual clock. The
-// processors are partitioned into scheduling domains; exactly one processor
-// goroutine executes at any moment within a domain: control is handed back
-// and forth between the domain's dispatcher and the running processor through
-// unbuffered channels, so intra-domain scheduling needs no locks and is
-// bit-deterministic. A sequential engine (the default) has a single domain
-// holding every processor, which is the classic one-goroutine-at-a-time
-// discipline.
+// Each simulated processor is a goroutine with its own virtual clock, but
+// exactly one processor goroutine executes at any moment: control (the
+// baton) is handed back and forth between the engine's dispatch loop and the
+// processor goroutines through unbuffered channels, so scheduling needs no
+// locks and is bit-deterministic.
 //
 // The scheduling rule is the classic conservative one: the dispatcher always
 // resumes the runnable processor with the minimum virtual clock (ties are
@@ -21,15 +18,12 @@
 // processors have clocks >= t and blocked processors can only be woken at
 // times chosen by already-ordered events.
 //
-// Parallel mode (SetParallel + SetLookahead, or SIM_PARALLEL=1) splits the
-// cluster into one domain per node and advances the domains concurrently
-// under a conservative window protocol: every cross-domain interaction must
-// carry at least the declared lookahead of virtual latency, so each domain
-// can safely execute all events below the global horizon
-// min(next event) + lookahead without hearing from the others. Cross-domain
-// messages and wakes are staged in per-domain buffers and applied by the
-// coordinator between windows in deterministic (time, seq) order. See
-// DESIGN.md §3b for the ordering argument and the exactness condition.
+// Three host-time fast paths keep the baton cheap without changing the
+// order: a yield that would come straight back is elided, a yield or block
+// passes the baton directly to the next processor's goroutine instead of
+// through the dispatch loop, and a parked PollWait closure is evaluated
+// inline by whichever goroutine dispatches it. All three are bit-exact, and
+// SIM_NO_FASTPATH switches them off so tests can prove it.
 //
 // Timing model: virtual time is int64 nanoseconds (type Time). Real wall-clock
 // time plays no role anywhere in the package.
@@ -56,14 +50,6 @@ const NoFastPathEnv = "SIM_NO_FASTPATH"
 // dsmvet:env-switch — declared SIM_* switch site; the only sanctioned kind
 // of environment read in measured packages.
 func FastPathEnabled() bool { return os.Getenv(NoFastPathEnv) == "" }
-
-// ParallelRequested reports whether SIM_PARALLEL asks engines created from
-// now on to default to node-parallel execution. A positive lookahead must
-// still be declared per engine before parallelism engages.
-//
-// dsmvet:env-switch — declared SIM_* switch site; the only sanctioned kind
-// of environment read in measured packages.
-func ParallelRequested() bool { return os.Getenv(ParallelEnv) != "" }
 
 // Time is virtual time in nanoseconds.
 type Time = int64
@@ -129,10 +115,6 @@ type reportKind uint8
 const (
 	reportYield reportKind = iota
 	reportBlock
-	// reportParked hands the baton to the worker without changing the
-	// reporter's state: it is already queued (a wake raced with its block) or
-	// already recorded. The worker just continues its dispatch loop.
-	reportParked
 	reportDone
 	reportPanic
 )
@@ -144,24 +126,25 @@ type report struct {
 	err  error
 }
 
-// Engine owns the simulated cluster: its processors, the scheduling domains,
-// and the global event ordering. Create one with NewEngine, add processors
-// with NewProc, give each a body with Go, then call Run.
+// Engine owns the simulated cluster: its processors, the run queue, and the
+// global event ordering. Create one with NewEngine, give its processors
+// bodies with Go, then call Run.
+//
+// The scheduling state below the sched fields is touched only by the
+// goroutine currently holding the baton — the dispatch loop in Run or one
+// processor goroutine — and every transfer of control flows through an
+// unbuffered channel, so no locks are needed and the race detector can
+// verify the discipline. The contract is machine-checked: every field marked
+// dsmvet:domain-confined may only be touched by functions annotated
+// dsmvet:dispatch (see internal/analysis and DESIGN.md "Machine-checked
+// invariants"), which are exactly the paths that hold the baton or run
+// before any processor goroutine starts.
 type Engine struct {
 	cfg     Config
 	procs   []*Proc
-	domains []*domain
 	started bool
 
 	fastYield bool // elide scheduler round-trips when provably inconsequential
-
-	// parallel requests node-parallel execution; it only engages when
-	// lookahead > 0 and the cluster has more than one node.
-	parallel  bool
-	lookahead Time
-	// parallelActive is set at Run once the engine has committed to more
-	// than one domain.
-	parallelActive bool
 
 	// sched is the committed schedule perturbation (zero value: canonical
 	// order); jitterK is its cost-jitter fraction quantized to 1/1024ths so
@@ -169,9 +152,22 @@ type Engine struct {
 	sched   Schedule
 	jitterK int64
 
-	rounds      uint64 // horizon windows executed (parallel mode)
-	crossEvents uint64 // cross-domain events drained (parallel mode)
-	crossTies   uint64 // same-instant cross-domain delivery collisions
+	runq      runQueue // dsmvet:domain-confined
+	reports   chan report
+	pushCount uint64 // dsmvet:domain-confined — run-queue push counter for FIFO tie-breaking
+	msgSeq    uint64 // dsmvet:domain-confined — message sequence counter
+
+	active int // dsmvet:domain-confined — processors with bodies not yet done
+
+	// polling is set while a dispatcher evaluates a parked processor's
+	// PollWait closure inline; yields and blocks panic during it, enforcing
+	// the PollWait contract.
+	// dsmvet:domain-confined
+	polling bool
+
+	elided   uint64 // dsmvet:domain-confined
+	handoffs uint64 // dsmvet:domain-confined
+	polls    uint64 // dsmvet:domain-confined — PollWait closures evaluated inline by a dispatcher
 }
 
 // NewEngine creates an engine for the given cluster shape and instantiates
@@ -184,22 +180,17 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:       cfg,
 		fastYield: FastPathEnabled(),
-		parallel:  ParallelRequested(),
+		reports:   make(chan report),
 	}
-	d := newDomain(e, 0)
-	e.domains = []*domain{d}
 	for n := 0; n < cfg.Nodes; n++ {
 		for c := 0; c < cfg.ProcsPerNode; c++ {
-			p := &Proc{
+			e.procs = append(e.procs, &Proc{
 				ID:     len(e.procs),
 				Node:   n,
 				CPU:    c,
 				eng:    e,
-				dom:    d,
 				resume: make(chan struct{}),
-			}
-			e.procs = append(e.procs, p)
-			d.procs = append(d.procs, p)
+			})
 		}
 	}
 	return e, nil
@@ -235,126 +226,28 @@ func (e *Engine) Go(p *Proc, body func(*Proc)) {
 // path explicitly; must be called before Run.
 func (e *Engine) SetFastYield(on bool) { e.fastYield = on }
 
-// SetParallel requests (or suppresses) node-parallel execution, overriding
-// the SIM_PARALLEL environment default. Parallel execution only engages when
-// a positive lookahead has also been declared with SetLookahead and the
-// cluster has more than one node; otherwise the engine runs sequentially.
-// Must be called before Run.
-func (e *Engine) SetParallel(on bool) { e.parallel = on }
-
-// SetLookahead declares the minimum virtual latency of every cross-domain
-// (cross-node) interaction: any Deliver or WakeAt that crosses domains must
-// target a time at least `la` past the sender's clock, or Run fails. The
-// model layer owns this number (e.g. interconnect.MCParams.MinCrossNodeLatency);
-// declaring it too large is unsafe, too small merely shrinks the windows.
-// Must be called before Run.
-func (e *Engine) SetLookahead(la Time) {
-	if la < 0 {
-		panic(fmt.Sprintf("sim: negative lookahead %d", la))
-	}
-	e.lookahead = la
-}
-
-// Domains returns the number of scheduling domains the engine committed to
-// at Run: 1 for sequential execution, Nodes for parallel. Before Run it
-// reports what the current settings would commit to.
-func (e *Engine) Domains() int {
-	if e.started {
-		return len(e.domains)
-	}
-	if e.parallel && e.lookahead > 0 && e.cfg.Nodes > 1 {
-		return e.cfg.Nodes
-	}
-	return 1
-}
-
-// ParallelActive reports whether Run committed to more than one domain.
-func (e *Engine) ParallelActive() bool { return e.parallelActive }
-
-// dsmvet:dispatch — observational read, documented as valid only after Run
-// (or between runs), when no domain is executing.
+// dsmvet:dispatch — observational read, documented as valid only after Run.
 //
 // ElidedYields returns the number of yields that were satisfied without a
 // scheduler round-trip. Purely observational (tests and benchmarks).
-func (e *Engine) ElidedYields() uint64 {
-	var n uint64
-	for _, d := range e.domains {
-		n += d.elided
-	}
-	return n
-}
+func (e *Engine) ElidedYields() uint64 { return e.elided }
 
 // dsmvet:dispatch — observational read, documented as valid only after Run.
 //
 // DirectHandoffs returns the number of baton passes that went directly from
 // one processor goroutine to the next without waking the dispatcher.
 // Purely observational (tests and benchmarks).
-func (e *Engine) DirectHandoffs() uint64 {
-	var n uint64
-	for _, d := range e.domains {
-		n += d.handoffs
-	}
-	return n
-}
+func (e *Engine) DirectHandoffs() uint64 { return e.handoffs }
 
 // dsmvet:dispatch — observational read, documented as valid only after Run.
 //
 // InlinePolls returns the number of PollWait closures that dispatchers
 // evaluated inline, without switching to the polling processor's goroutine.
 // Purely observational (tests and benchmarks).
-func (e *Engine) InlinePolls() uint64 {
-	var n uint64
-	for _, d := range e.domains {
-		n += d.polls
-	}
-	return n
-}
+func (e *Engine) InlinePolls() uint64 { return e.polls }
 
-// HorizonRounds returns the number of conservative windows a parallel run
-// executed. Zero for sequential runs. Purely observational.
-func (e *Engine) HorizonRounds() uint64 { return e.rounds }
-
-// CrossEvents returns the number of cross-domain events (deliveries and
-// wakes) the coordinator drained. Zero for sequential runs.
-func (e *Engine) CrossEvents() uint64 { return e.crossEvents }
-
-// CrossTies returns the number of same-instant cross-domain delivery
-// collisions observed: pairs of messages from different domains to the same
-// processor at the same virtual time. When zero, the parallel run's message
-// order is identical to the sequential engine's (see DESIGN.md §3b); when
-// non-zero the run is still deterministic, but ties were broken by sequence
-// stripe instead of global send order.
-func (e *Engine) CrossTies() uint64 { return e.crossTies }
-
-// dsmvet:dispatch — runs once at Run, before any worker or processor
-// goroutine starts.
-//
-// partition commits the engine to its final domain layout. Sequential
-// engines keep the single domain built by NewEngine; parallel engines get
-// one domain per node.
-func (e *Engine) partition() {
-	if !(e.parallel && e.lookahead > 0 && e.cfg.Nodes > 1) {
-		return
-	}
-	d0 := e.domains[0]
-	if d0.runq.len() > 0 || d0.msgSeq != 0 {
-		panic("sim: deliveries or wakes before Run are not supported in parallel mode")
-	}
-	e.parallelActive = true
-	e.domains = make([]*domain, e.cfg.Nodes)
-	for i := range e.domains {
-		e.domains[i] = newDomain(e, i)
-	}
-	for _, p := range e.procs {
-		d := e.domains[p.Node]
-		p.dom = d
-		d.procs = append(d.procs, p)
-	}
-}
-
-// dsmvet:dispatch — the top-level driver: it touches domain state before
-// goroutines start and, sequentially, between window calls when it owns the
-// single domain's baton.
+// dsmvet:dispatch — the top-level driver: it touches scheduling state before
+// any processor goroutine starts, and runs the dispatch loop.
 //
 // Run executes the simulation until every processor with a body has finished,
 // or until no progress is possible (deadlock). It returns an error describing
@@ -366,49 +259,37 @@ func (e *Engine) Run() error {
 		return fmt.Errorf("sim: engine already ran")
 	}
 	e.started = true
-	e.applySchedule() // may pin sequential mode; must precede partition
-	e.partition()
+	e.applySchedule()
 
 	for _, p := range e.procs {
 		if p.body == nil {
 			p.state = stateDone
 			continue
 		}
-		p.dom.active++
-		p.dom.enqueue(p, e.startTime(p))
+		e.active++
+		e.enqueue(p, e.startTime(p))
 		go p.run()
 	}
 
-	if e.parallelActive {
-		return e.runParallel()
+	// dispatch returns on panic (error), or with the run queue drained —
+	// success if every processor finished, deadlock otherwise.
+	err := e.dispatch()
+	if err == nil && e.active > 0 {
+		err = e.deadlockError(e.active)
 	}
-
-	// Sequential execution: the single domain runs one unbounded window per
-	// dispatch epoch. window returns on panic (error), or with the run queue
-	// drained — success if every processor finished, deadlock otherwise.
-	d := e.domains[0]
-	for d.active > 0 {
-		if err := d.window(maxTime); err != nil {
-			// The simulation result is already invalid; unwind the parked
-			// goroutines so an engine-heavy test run does not accumulate
-			// them.
-			e.killParked()
-			return err
-		}
-		if d.active > 0 {
-			err := e.deadlockError(d.active)
-			e.killParked()
-			return err
-		}
+	if err != nil {
+		// The simulation result is already invalid; unwind the parked
+		// goroutines so an engine-heavy test run does not accumulate them.
+		e.killParked()
 	}
-	return nil
+	return err
 }
 
 // killParked unwinds every processor goroutine still parked on its resume
 // channel. Each parked goroutine is woken with its killed flag set; it exits
 // via runtime.Goexit without reporting back (nobody is listening). Only
-// called from Run's failure paths, where no processor holds the baton in any
-// domain, so every non-done processor with a body is guaranteed to be blocked
+// called from Run's failure paths, where no processor holds the baton, so
+// every non-done processor with a body is guaranteed to be blocked
 // on <-resume and the unbuffered sends cannot hang.
 func (e *Engine) killParked() {
 	for _, p := range e.procs {
