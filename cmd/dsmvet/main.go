@@ -4,11 +4,11 @@
 //
 // Usage:
 //
-//	go run ./cmd/dsmvet [flags] [packages]
+//	go run ./cmd/dsmvet [packages]
 //
-// Packages default to ./... (the whole module). Each analyzer can be
-// disabled individually, e.g. -maporder=false. Exit status: 0 clean, 1 when
-// any diagnostic is reported, 2 on a loading or internal error.
+// Packages default to ./... (the whole module); every analyzer runs. Exit
+// status: 0 clean, 1 when any diagnostic is reported, 2 on a loading or
+// internal error.
 package main
 
 import (
@@ -20,26 +20,19 @@ import (
 )
 
 func main() {
-	all := analysis.Analyzers()
-	enabled := make(map[string]*bool, len(all))
-	for _, a := range all {
-		enabled[a.Name] = flag.Bool(a.Name, true, a.Doc)
-	}
+	analyzers := analysis.Analyzers()
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: dsmvet [flags] [packages]\n\nAnalyzers (all on by default):\n")
-		flag.PrintDefaults()
+		out := flag.CommandLine.Output()
+		fmt.Fprintf(out, "usage: dsmvet [packages]\n\nAnalyzers:\n")
+		for _, a := range analyzers {
+			fmt.Fprintf(out, "  %-15s %s\n", a.Name, a.Doc)
+		}
 	}
 	flag.Parse()
 
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
-	}
-	var run []*analysis.Analyzer
-	for _, a := range all {
-		if *enabled[a.Name] {
-			run = append(run, a)
-		}
 	}
 
 	loader, err := analysis.NewModuleLoader(".")
@@ -52,7 +45,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dsmvet:", err)
 		os.Exit(2)
 	}
-	diags, err := analysis.Run(pkgs, run)
+	diags, err := analysis.Run(pkgs, analyzers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dsmvet:", err)
 		os.Exit(2)

@@ -18,15 +18,13 @@
 //     slices, channels, struct fields, or formatted output.
 //   - accessor: no direct access to vm.Space page frames outside the layers
 //     that charge fault and mprotect costs.
-//   - domainconfined: fields annotated "dsmvet:domain-confined" are touched
-//     only by functions annotated "dsmvet:dispatch" (the scheduling paths
-//     that provably hold the engine's baton).
-//   - capsgate: every RemoteRead/WriteThrough call site must be dominated
-//     by a check of the corresponding interconnect Caps field (or carry a
-//     "dsmvet:caps-checked" marker pointing at the caller that checks).
 //   - chargepath: no raw sim.Proc.Deliver/NewMsg outside the charging
 //     layers, and no constant non-positive bytes argument to the
 //     byte-moving entry points.
+//
+// Invariants that need execution stay with the runtime tests: the engine's
+// baton discipline is checked by the race detector (`go test -race ./...`),
+// and the RemoteRead capability gate by the interconnect conformance suite.
 //
 // Test files (*_test.go) are exempt from every analyzer: they never run on a
 // measured path, and the loader does not even parse them.
@@ -83,7 +81,7 @@ func (d Diagnostic) String() string {
 
 // Analyzers returns the full dsmvet suite in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Nondeterminism, MapOrder, Accessor, DomainConfined, CapsGate, ChargePath}
+	return []*Analyzer{Nondeterminism, MapOrder, Accessor, ChargePath}
 }
 
 // Run applies each analyzer to each package and returns all findings sorted

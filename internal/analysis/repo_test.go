@@ -10,8 +10,8 @@ import (
 // TestRepositoryIsClean is the regression gate behind the whole suite: the
 // real repository must produce zero diagnostics under every analyzer. A
 // failure here means a change reintroduced a nondeterminism source, a
-// map-order leak, an uncharged frame access, or an unannotated touch of
-// domain-confined scheduling state.
+// map-order leak, an uncharged frame access, or an uncharged cross-node
+// byte movement.
 func TestRepositoryIsClean(t *testing.T) {
 	l, err := NewModuleLoader(".")
 	if err != nil {
@@ -41,22 +41,16 @@ func TestRepositoryIsClean(t *testing.T) {
 	}
 }
 
-// TestDomainAnnotationsPresent pins the annotation surface the analyzers
-// enforce against: if the markers in internal/sim were deleted, DomainConfined
-// and the env-switch exemption would silently pass on everything.
+// TestDomainAnnotationsPresent pins the one dsmvet:env-switch marker in
+// internal/sim/sim.go (the SIM_NO_FASTPATH site): a second marker there
+// would let another environment read pass the nondeterminism analyzer
+// unreviewed.
 func TestDomainAnnotationsPresent(t *testing.T) {
 	src, err := os.ReadFile(filepath.Join("..", "sim", "sim.go"))
 	if err != nil {
 		t.Fatalf("reading internal/sim/sim.go: %v", err)
 	}
-	sim := string(src)
-	if n := strings.Count(sim, ConfinedMarker); n < 5 {
-		t.Errorf("internal/sim/sim.go has %d %s markers, want at least 5", n, ConfinedMarker)
-	}
-	if !strings.Contains(sim, DispatchMarker) {
-		t.Errorf("internal/sim/sim.go has no %s markers", DispatchMarker)
-	}
-	if n := strings.Count(sim, EnvSwitchMarker); n != 1 {
+	if n := strings.Count(string(src), EnvSwitchMarker); n != 1 {
 		t.Errorf("internal/sim/sim.go has %d %s markers, want 1 (SIM_NO_FASTPATH)", n, EnvSwitchMarker)
 	}
 }

@@ -92,11 +92,6 @@ func (c *Protocol) WantsWriteHook() bool { return true }
 
 // Setup implements core.Protocol.
 func (c *Protocol) Setup(rt *core.Runtime) {
-	if !rt.Net().Caps().RemoteWrites {
-		// Write doubling is the protocol's foundation (§3.3.1): without
-		// one-sided remote writes every OnSharedWrite would mismodel traffic.
-		panic("cashmere: backend does not provide remote writes (Caps().RemoteWrites)")
-	}
 	numPages := rt.NumPages()
 	c.nprocs = len(rt.ComputeProcs())
 	if c.nprocs > 64 {
@@ -283,9 +278,6 @@ func (c *Protocol) OnWriteFault(p *core.Proc, page int) {
 // instruction overhead, the doubled address's cache pressure, the
 // write-through pipe occupancy, and the functional update of the home copy
 // all happen here.
-//
-// dsmvet:caps-checked RemoteWrites — Setup panics unless the backend
-// declares Caps().RemoteWrites, so every WriteThrough below runs gated.
 func (c *Protocol) OnSharedWrite(p *core.Proc, addr core.Addr, size int) {
 	p.Charge(core.CatDoubling, p.Costs().WriteDouble)
 	if c.cfg.DummyDoubling {
@@ -430,17 +422,6 @@ func (c *Protocol) Service(p *core.Proc, m sim.Msg, req msg.Request) {
 
 // Finalize implements core.Protocol.
 func (c *Protocol) Finalize(p *core.Proc) {}
-
-// MaxCostJitter implements core.SchedulePerturbable: any cost inflation up
-// to 100% per operation is legal. Cashmere takes no timing-dependent
-// decisions — every wait is condition-based (directory spin-waits, lock and
-// barrier words probed via SpinWait until they flip; message replies block
-// until they arrive) and the only time bound anywhere is SpinWait's 120 s
-// livelock backstop, six orders of magnitude above any jittered operation
-// cost. Stretching an operation therefore moves *when* events occur, never
-// *which* events occur, so a jittered run is one of the protocol's legal
-// executions.
-func (c *Protocol) MaxCostJitter() float64 { return 1.0 }
 
 // Counters implements core.Protocol. The remote-read counter appears only
 // when the interconnect actually served one-sided page reads, so Memory

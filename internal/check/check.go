@@ -42,8 +42,8 @@ type Params struct {
 	// BaseSeed is the first schedule seed; schedule i uses BaseSeed+i.
 	// Zero means 1 (a schedule seed of zero is the canonical order).
 	BaseSeed uint64
-	// Jitter is the per-event cost jitter fraction (default 0.75; must stay
-	// within every protocol's declared tolerance, currently 1.0).
+	// Jitter is the per-event cost jitter fraction (default 0.75; at most
+	// sim.MaxCostJitter, 1.0).
 	Jitter float64
 	// Stagger is the maximum seed-derived start offset per processor
 	// (default 3ms). Litmus outcomes need it: without a stagger the fixed

@@ -320,49 +320,6 @@ outer:
 	}
 }
 
-// WriteF64Range writes len(src) consecutive float64 elements starting at a.
-// Like ReadF64Range, it is bit-exact with the equivalent sequence of
-// WriteF64 calls, including per-element write hooks for protocols that
-// request them.
-func (p *Proc) WriteF64Range(a Addr, src []float64) {
-	if p.noFastPath {
-		for i, v := range src {
-			p.WriteF64(a+Addr(i)*8, v)
-		}
-		return
-	}
-	i := 0
-outer:
-	for i < len(src) {
-		addr := a + Addr(i)*8
-		fr := p.writable(addr)
-		epoch := p.space.Epoch()
-		off := vm.Offset(addr)
-		run := (vm.PageSize - off) / 8
-		if run <= 0 {
-			p.WriteF64(addr, src[i])
-			i++
-			continue
-		}
-		if rem := len(src) - i; run > rem {
-			run = rem
-		}
-		for k := 0; k < run; k++ {
-			ea := addr + Addr(k)*8
-			binary.LittleEndian.PutUint64(fr[off+8*k:], math.Float64bits(src[i+k]))
-			p.access(ea)
-			if p.writeHook {
-				p.proto.OnSharedWrite(p, ea, 8)
-			}
-			if p.space.Epoch() != epoch {
-				i += k + 1
-				continue outer
-			}
-		}
-		i += run
-	}
-}
-
 // CacheTouch runs an extra address through the L1 model without reading data
 // (the doubled write's second store, charged by Cashmere).
 func (p *Proc) CacheTouch(a uint64) bool {

@@ -44,23 +44,6 @@ type Protocol interface {
 	Counters() map[string]int64
 }
 
-// SchedulePerturbable is an optional interface a Protocol may implement to
-// declare its legal cost range under schedule perturbation
-// (sim.Schedule.CostJitter): the maximum fraction by which every charged
-// operation cost may be inflated without making the protocol's behavior
-// illegal. The declaration is a statement about timing-independence: a
-// protocol may answer a non-zero tolerance only if no decision it takes
-// depends on an operation completing within a bounded virtual time — all
-// waiting is condition-based (spin until the flag flips, block until the
-// reply arrives), never timeout-based. core.Run refuses to run a perturbed
-// schedule against a protocol that does not implement this interface, and
-// rejects any requested jitter above the declared tolerance.
-type SchedulePerturbable interface {
-	// MaxCostJitter returns the largest legal Schedule.CostJitter for this
-	// protocol (0 = cannot be perturbed).
-	MaxCostJitter() float64
-}
-
 // NullProtocol runs shared memory with no coherence actions and no cost:
 // every fault maps the page read-write from the initial image. It is the
 // sequential baseline ("running each application sequentially without
@@ -122,8 +105,3 @@ func (n *NullProtocol) Finalize(p *Proc) {}
 
 // Counters implements Protocol.
 func (n *NullProtocol) Counters() map[string]int64 { return nil }
-
-// MaxCostJitter implements SchedulePerturbable. The baseline runs a single
-// processor with zero-cost synchronization: there is no timing-dependent
-// decision anywhere, so any in-range jitter is legal.
-func (n *NullProtocol) MaxCostJitter() float64 { return 1.0 }

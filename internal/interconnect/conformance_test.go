@@ -37,16 +37,6 @@ func forEachBackend(t *testing.T, nodes, ppn int, fn func(t *testing.T, eng *sim
 
 func TestConformanceDeclaredCaps(t *testing.T) {
 	forEachBackend(t, 2, 1, func(t *testing.T, eng *sim.Engine, net Interconnect) {
-		// Every current backend must declare total write ordering: the lock
-		// and directory algorithms require it.
-		if !net.Caps().TotalWriteOrder {
-			t.Error("backend does not declare total write order")
-		}
-		// Every current backend models one-sided remote writes; Cashmere's
-		// Setup guard (and the capsgate linter) depend on the declaration.
-		if !net.Caps().RemoteWrites {
-			t.Error("backend does not declare remote writes (Caps().RemoteWrites)")
-		}
 		if net.MinCrossNodeLatency() <= 0 {
 			t.Errorf("MinCrossNodeLatency = %d, want > 0", net.MinCrossNodeLatency())
 		}
@@ -121,14 +111,11 @@ func TestConformanceVisibilityWindow(t *testing.T) {
 	})
 }
 
-// TestConformanceTotalWriteOrder: where the backend declares total write
-// ordering, observers on different nodes see two writes to the same word in
-// the same order.
+// TestConformanceTotalWriteOrder: observers on different nodes see two
+// writes to the same word in the same order. Every backend must pass: the
+// lock and directory algorithms require total write ordering.
 func TestConformanceTotalWriteOrder(t *testing.T) {
 	forEachBackend(t, 4, 1, func(t *testing.T, eng *sim.Engine, net Interconnect) {
-		if !net.Caps().TotalWriteOrder {
-			t.Skip("backend does not declare total write order")
-		}
 		w := net.NewWordArray("order", 1, TrafficMeta)
 		eng.Go(eng.Proc(0), func(p *sim.Proc) {
 			p.Advance(10 * sim.Microsecond)

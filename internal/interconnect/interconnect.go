@@ -20,10 +20,11 @@
 //   - Latency and occupancy charging: Transfer/WriteThrough advance the
 //     issuing processor past the issue cost and queue behind busy links;
 //     arrival times account for contention.
-//   - Ordering guarantees: every backend here declares total write ordering
-//     (Caps.TotalWriteOrder) — two writes to the same region are observed in
-//     the same order everywhere — because the protocols' lock and directory
-//     algorithms require it.
+//   - Ordering guarantees: every backend provides total write ordering — two
+//     writes to the same region are observed in the same order everywhere —
+//     because the protocols' lock and directory algorithms require it. It is
+//     a requirement of the contract, not a capability: the conformance suite
+//     checks it on every backend.
 //   - Interrupt delivery: Interrupt charges the sender and delivers a
 //     message at now + InterruptLatency.
 //   - Remote reads are capability-gated (Caps.RemoteReads): the Memory
@@ -93,26 +94,17 @@ func (tc TrafficClass) String() string {
 	return "unknown"
 }
 
-// Caps declares the guarantees and capabilities a backend provides. The
-// conformance suite (conformance_test.go) checks every implementation
-// against its declared capabilities so a new backend cannot silently weaken
-// a guarantee the protocols rely on.
+// Caps declares the optional capabilities a backend provides. Remote writes
+// (WriteThrough) and total write ordering are not capabilities but
+// requirements every backend meets (paper §3.1); the conformance suite
+// (conformance_test.go) checks both, and checks each backend against its
+// declared capabilities, so a new backend cannot silently weaken a
+// guarantee the protocols rely on.
 type Caps struct {
 	// RemoteReads reports whether RemoteRead is usable. When false,
 	// RemoteRead panics: the Memory Channel hardware has no remote reads
 	// (paper §3.1), and the protocols emulate them with messages.
 	RemoteReads bool
-	// RemoteWrites reports whether WriteThrough is usable: the backend can
-	// apply one-sided writes into a remote node's memory. The Memory Channel
-	// is remote-writes-only (paper §3.1), and every current backend models
-	// the capability; protocols that double shared stores (Cashmere) must
-	// still check it so a future receive-only backend fails fast at Setup
-	// instead of mismodeling traffic.
-	RemoteWrites bool
-	// TotalWriteOrder reports that two writes to the same region are
-	// observed in the same order on every node. The lock and directory
-	// algorithms require it; every current backend provides it.
-	TotalWriteOrder bool
 }
 
 // Interconnect is the cluster-network contract the protocol and messaging

@@ -140,11 +140,8 @@ func newMemoryChannel(eng *sim.Engine, params MCParams) (*mcNet, error) {
 // Kind implements Interconnect.
 func (n *mcNet) Kind() Kind { return MemoryChannel }
 
-// Caps implements Interconnect: no remote reads (paper §3.1), total write
-// ordering.
-func (n *mcNet) Caps() Caps {
-	return Caps{RemoteReads: false, RemoteWrites: true, TotalWriteOrder: true}
-}
+// Caps implements Interconnect: no remote reads (paper §3.1).
+func (n *mcNet) Caps() Caps { return Caps{RemoteReads: false} }
 
 // Params returns the network parameters.
 func (n *mcNet) Params() MCParams { return n.params }

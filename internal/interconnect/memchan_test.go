@@ -66,12 +66,8 @@ func TestMCKindAndCaps(t *testing.T) {
 	if net.Kind() != MemoryChannel {
 		t.Errorf("Kind = %q", net.Kind())
 	}
-	caps := net.Caps()
-	if caps.RemoteReads {
+	if net.Caps().RemoteReads {
 		t.Error("Memory Channel claims remote reads")
-	}
-	if !caps.TotalWriteOrder {
-		t.Error("Memory Channel does not claim total write order")
 	}
 }
 

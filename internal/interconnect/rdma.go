@@ -124,11 +124,9 @@ func newRDMA(eng *sim.Engine, params RDMAParams) (*rdmaNet, error) {
 func (n *rdmaNet) Kind() Kind { return RDMA }
 
 // Caps implements Interconnect: one-sided remote reads are the point of
-// this model; ordering within a queue pair plus the simulator's serialized
-// write execution give total write ordering.
-func (n *rdmaNet) Caps() Caps {
-	return Caps{RemoteReads: true, RemoteWrites: true, TotalWriteOrder: true}
-}
+// this model. Ordering within a queue pair plus the simulator's serialized
+// write execution give the contract's total write ordering.
+func (n *rdmaNet) Caps() Caps { return Caps{RemoteReads: true} }
 
 // Params returns the network parameters.
 func (n *rdmaNet) Params() RDMAParams { return n.params }

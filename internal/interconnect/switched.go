@@ -132,11 +132,10 @@ func newSwitched(eng *sim.Engine, params SwitchedParams) (*switchNet, error) {
 // Kind implements Interconnect.
 func (n *switchNet) Kind() Kind { return Switched }
 
-// Caps implements Interconnect: remote writes only, total ordering (via the
-// diameter visibility horizon, see the package comment above).
-func (n *switchNet) Caps() Caps {
-	return Caps{RemoteReads: false, RemoteWrites: true, TotalWriteOrder: true}
-}
+// Caps implements Interconnect: remote writes only. The diameter visibility
+// horizon (see the package comment above) gives the contract's total write
+// ordering.
+func (n *switchNet) Caps() Caps { return Caps{RemoteReads: false} }
 
 // Params returns the network parameters.
 func (n *switchNet) Params() SwitchedParams { return n.params }

@@ -25,6 +25,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/interconnect"
 	"repro/internal/sim"
+	"repro/internal/treadmarks"
 	"repro/internal/variants"
 )
 
@@ -113,12 +114,17 @@ func resolve(o variants.Options) resolvedOpts {
 // spec that normalizes to the Memory Channel contribute nothing to the key,
 // so every pre-pluggable-interconnect key (and its disk-cache entry) remains
 // byte-identical; only a genuinely different interconnect appends a
-// "|net=..." segment and therefore a different cache identity.
+// "|net=..." segment and therefore a different cache identity. TreadMarks
+// options follow the same rule: the zero config adds nothing, any other
+// appends a "|tmk=..." segment.
 func (s RunSpec) Key() string {
 	s = s.Normalize()
 	key := fmt.Sprintf("%s|%s|%d|%dx%d|%s|%+v", s.App, s.Variant, s.Procs, s.Nodes, s.PPN, s.Size, resolve(s.Opts))
 	if net := netSpec(s.Opts); net != nil {
 		key += "|net=" + net.String()
+	}
+	if s.Opts.TreadMarks != (treadmarks.Config{}) {
+		key += fmt.Sprintf("|tmk=%+v", s.Opts.TreadMarks)
 	}
 	return key
 }

@@ -55,6 +55,12 @@ func TestKeyDistinguishesOptions(t *testing.T) {
 	if base.Key() == bigger.Key() {
 		t.Fatal("different processor counts produced the same key")
 	}
+	tmk := smallSpec("tmk_mc_poll", 4)
+	gc := tmk
+	gc.Opts.TreadMarks.GCBarrierInterval = 2
+	if tmk.Key() == gc.Key() {
+		t.Fatal("different TreadMarks configs produced the same key")
+	}
 }
 
 func TestExecuteCachesAcrossCalls(t *testing.T) {

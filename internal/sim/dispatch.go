@@ -2,18 +2,16 @@ package sim
 
 import "fmt"
 
-// dsmvet:dispatch — called only by the baton holder.
-//
 // nextMsgSeq hands out the engine's message sequence numbers: 1, 2, 3, ...
+// Only the baton holder calls it.
 func (e *Engine) nextMsgSeq() uint64 {
 	e.msgSeq++
 	return e.msgSeq
 }
 
-// dsmvet:dispatch — called by the baton holder (yields, wakes) or by Run
-// before any processor goroutine starts.
-//
-// enqueue makes target runnable at virtual time t.
+// enqueue makes target runnable at virtual time t. It is called by the
+// baton holder (yields, wakes) or by Run before any processor goroutine
+// starts.
 func (e *Engine) enqueue(target *Proc, t Time) {
 	target.state = stateQueued
 	target.queueSeq++
@@ -22,8 +20,6 @@ func (e *Engine) enqueue(target *Proc, t Time) {
 	e.runq.push(entry{at: t, order: e.pushCount, procID: target.ID, seq: target.queueSeq})
 }
 
-// dsmvet:dispatch — called by the running (baton-holding) processor.
-//
 // canElide reports whether a yield by the running processor until virtual
 // time t may skip the report/resume channel round-trip entirely. It may:
 // exactly one goroutine runs at a time, so the run queue is quiescent, and if
@@ -53,14 +49,13 @@ func (e *Engine) canElide(t Time) bool {
 	}
 }
 
-// dsmvet:dispatch — runs on the dispatching goroutine, which holds the baton.
-//
 // dispatchPoll evaluates a parked processor's PollWait closure inline on the
-// dispatching goroutine. On (false, next) the processor is re-queued and the
-// dispatcher keeps going — no goroutine switch happened. On done the poll is
-// cleared and the caller must resume the processor's goroutine for real. A
-// panic inside the poll (e.g. a spin-wait livelock bound) is captured and
-// returned as an error; the caller aborts the run with it.
+// dispatching goroutine, which holds the baton. On (false, next) the
+// processor is re-queued and the dispatcher keeps going — no goroutine
+// switch happened. On done the poll is cleared and the caller must resume
+// the processor's goroutine for real. A panic inside the poll (e.g. a
+// spin-wait livelock bound) is captured and returned as an error; the caller
+// aborts the run with it.
 func (e *Engine) dispatchPoll(q *Proc, at Time) (resume bool, err error) {
 	if at > q.now {
 		q.now = at
@@ -107,13 +102,12 @@ func (e *Engine) dispatchPoll(q *Proc, at Time) (resume bool, err error) {
 	}
 }
 
-// dsmvet:dispatch — runs on the goroutine that holds the baton.
-//
 // next pops the minimum live run-queue entry and makes its processor the
 // running one, with its clock advanced to the entry's time. Stale entries
 // are discarded and parked polls evaluated inline on the way, so a processor
 // whose poll is not yet done never surfaces. It reports false when no live
-// entry remains, and returns a poll's panic as an error.
+// entry remains, and returns a poll's panic as an error. It runs on the
+// goroutine that holds the baton.
 func (e *Engine) next() (*Proc, bool, error) {
 	for {
 		ent, ok := e.runq.peek()
@@ -143,15 +137,13 @@ func (e *Engine) next() (*Proc, bool, error) {
 	}
 }
 
-// dsmvet:dispatch — runs on p's goroutine, which holds the baton until the
-// resume send below transfers it.
-//
 // passBaton dispatches the next runnable processor directly from p's
 // goroutine, without waking the dispatch loop, and parks p until a
 // dispatcher resumes it. If p's own entry comes up next it returns at once
 // with p running. Returns false, having dispatched nothing, only when the run
 // queue holds no live entry. A poll's panic is re-raised on p's goroutine,
-// which aborts the run through p's panic report.
+// which aborts the run through p's panic report. p's goroutine holds the
+// baton until the resume send below transfers it.
 func (e *Engine) passBaton(p *Proc) bool {
 	q, ok, err := e.next()
 	if err != nil {
@@ -194,11 +186,9 @@ func (e *Engine) dispatchBlocked(p *Proc) bool {
 	return e.passBaton(p)
 }
 
-// dsmvet:dispatch — the engine's dispatch loop; it owns the baton whenever no
-// processor goroutine does.
-//
 // dispatch resumes runnable processors in (time, push order) until the queue
-// drains or a processor panics.
+// drains or a processor panics. It owns the baton whenever no processor
+// goroutine does.
 func (e *Engine) dispatch() error {
 	for {
 		p, ok, err := e.next()

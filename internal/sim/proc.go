@@ -135,8 +135,8 @@ func (p *Proc) YieldUntil(t Time) {
 	p.yieldUntil(t)
 }
 
-// dsmvet:dispatch — runs on the yielding processor's goroutine, which holds
-// the baton.
+// yieldUntil runs on the yielding processor's goroutine, which holds the
+// baton.
 func (p *Proc) yieldUntil(t Time) {
 	e := p.eng
 	if e.polling {
@@ -194,9 +194,6 @@ func (p *Proc) reportYield(t Time) {
 // per probe costs zero. This is bit-exact with the yield loop: the closure
 // runs at exactly the same virtual times, in the same global order, with the
 // same effects — only the host goroutine executing it differs.
-//
-// dsmvet:dispatch — runs on the polling processor's goroutine, which holds
-// the baton at every touch of scheduling state.
 //
 // The contract is that poll must not yield, block, park, or otherwise touch
 // the scheduler (delivering messages and waking other processors is fine) —
@@ -262,9 +259,6 @@ func (p *Proc) CheckpointQuiet(quantum Time) bool {
 		p.now-p.lastYield < quantum
 }
 
-// dsmvet:dispatch — runs on the blocking processor's goroutine, which holds
-// the baton.
-//
 // Block parks the processor until another processor calls WakeAt (or until a
 // message is delivered by code that wakes it). The reason string appears in
 // deadlock reports. If an unconsumed wake is outstanding (issued at any point

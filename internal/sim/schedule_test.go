@@ -207,6 +207,7 @@ func TestScheduleValidate(t *testing.T) {
 	for _, bad := range []Schedule{
 		{Seed: 1, CostJitter: -0.1},
 		{Seed: 1, CostJitter: MaxCostJitter + 1},
+		{Seed: 1, CostJitter: 1.5},
 		{Seed: 1, Stagger: -1},
 	} {
 		if err := bad.Validate(); err == nil {

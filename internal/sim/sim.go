@@ -133,12 +133,8 @@ type report struct {
 // The scheduling state below the sched fields is touched only by the
 // goroutine currently holding the baton — the dispatch loop in Run or one
 // processor goroutine — and every transfer of control flows through an
-// unbuffered channel, so no locks are needed and the race detector can
-// verify the discipline. The contract is machine-checked: every field marked
-// dsmvet:domain-confined may only be touched by functions annotated
-// dsmvet:dispatch (see internal/analysis and DESIGN.md "Machine-checked
-// invariants"), which are exactly the paths that hold the baton or run
-// before any processor goroutine starts.
+// unbuffered channel, so no locks are needed. The race detector checks the
+// discipline: CI runs `go test -race ./...` (DESIGN.md §7a).
 type Engine struct {
 	cfg     Config
 	procs   []*Proc
@@ -152,22 +148,21 @@ type Engine struct {
 	sched   Schedule
 	jitterK int64
 
-	runq      runQueue // dsmvet:domain-confined
+	runq      runQueue
 	reports   chan report
-	pushCount uint64 // dsmvet:domain-confined — run-queue push counter for FIFO tie-breaking
-	msgSeq    uint64 // dsmvet:domain-confined — message sequence counter
+	pushCount uint64 // run-queue push counter for FIFO tie-breaking
+	msgSeq    uint64 // message sequence counter
 
-	active int // dsmvet:domain-confined — processors with bodies not yet done
+	active int // processors with bodies not yet done
 
 	// polling is set while a dispatcher evaluates a parked processor's
 	// PollWait closure inline; yields and blocks panic during it, enforcing
 	// the PollWait contract.
-	// dsmvet:domain-confined
 	polling bool
 
-	elided   uint64 // dsmvet:domain-confined
-	handoffs uint64 // dsmvet:domain-confined
-	polls    uint64 // dsmvet:domain-confined — PollWait closures evaluated inline by a dispatcher
+	elided   uint64
+	handoffs uint64
+	polls    uint64 // PollWait closures evaluated inline by a dispatcher
 }
 
 // NewEngine creates an engine for the given cluster shape and instantiates
@@ -226,29 +221,21 @@ func (e *Engine) Go(p *Proc, body func(*Proc)) {
 // path explicitly; must be called before Run.
 func (e *Engine) SetFastYield(on bool) { e.fastYield = on }
 
-// dsmvet:dispatch — observational read, documented as valid only after Run.
-//
 // ElidedYields returns the number of yields that were satisfied without a
-// scheduler round-trip. Purely observational (tests and benchmarks).
+// scheduler round-trip. Purely observational (tests and benchmarks); valid
+// only after Run.
 func (e *Engine) ElidedYields() uint64 { return e.elided }
 
-// dsmvet:dispatch — observational read, documented as valid only after Run.
-//
 // DirectHandoffs returns the number of baton passes that went directly from
 // one processor goroutine to the next without waking the dispatcher.
-// Purely observational (tests and benchmarks).
+// Purely observational (tests and benchmarks); valid only after Run.
 func (e *Engine) DirectHandoffs() uint64 { return e.handoffs }
 
-// dsmvet:dispatch — observational read, documented as valid only after Run.
-//
 // InlinePolls returns the number of PollWait closures that dispatchers
 // evaluated inline, without switching to the polling processor's goroutine.
-// Purely observational (tests and benchmarks).
+// Purely observational (tests and benchmarks); valid only after Run.
 func (e *Engine) InlinePolls() uint64 { return e.polls }
 
-// dsmvet:dispatch — the top-level driver: it touches scheduling state before
-// any processor goroutine starts, and runs the dispatch loop.
-//
 // Run executes the simulation until every processor with a body has finished,
 // or until no progress is possible (deadlock). It returns an error describing
 // a deadlock or a panic inside a processor body. On either failure the

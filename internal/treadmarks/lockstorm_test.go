@@ -1,7 +1,6 @@
 package treadmarks
 
 import (
-	"os"
 	"testing"
 
 	"repro/internal/core"
@@ -13,8 +12,6 @@ import (
 // TestLockStorm mimics Water's phase-3 merge: many locks, every proc takes
 // each lock once per round, with barriers between rounds.
 func TestLockStorm(t *testing.T) {
-	trace = os.Getenv("TRACE") != ""
-	defer func() { trace = false }()
 	cfg := core.Config{
 		Nodes: 2, ProcsPerNode: 2,
 		MC: interconnect.MCFirstGeneration(), Costs: core.DefaultCosts(),

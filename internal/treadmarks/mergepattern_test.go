@@ -1,7 +1,6 @@
 package treadmarks
 
 import (
-	"os"
 	"testing"
 
 	"repro/internal/core"
@@ -12,8 +11,6 @@ import (
 // mimic Water: per-chunk force merge where each proc SKIPS chunks without
 // contributions and takes locks in ascending order (not offset by rank).
 func TestWaterMergePattern(t *testing.T) {
-	trace = os.Getenv("TRACE") != ""
-	defer func() { trace = false }()
 	var proto *Protocol
 	cfg := core.Config{
 		Nodes: 2, ProcsPerNode: 2,

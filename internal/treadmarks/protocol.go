@@ -306,7 +306,6 @@ func (t *Protocol) closeInterval(p *core.Proc) {
 	id := st.cur + 1
 	st.cur = id
 	st.vt[rank] = id
-	tracef("t=%d r%d closeInterval id=%d pages=%v", p.Sim().Now(), p.Rank(), id, st.pending)
 	rec := Interval{Proc: rank, ID: id, VT: st.vt.Clone(), Pages: st.pending}
 	st.log[rank] = append(st.log[rank], rec)
 	for _, pg := range st.pending {
@@ -397,7 +396,6 @@ func (t *Protocol) incorporate(p *core.Proc, recs []Interval, senderVT VT) {
 			}
 			applied := t.slot(st.applied, int(pg))
 			if applied[q] < rec.ID && p.Space().Prot(int(pg)) != vm.ProtNone {
-				tracef("t=%d r%d invalidate page=%d (wn %d,%d)", p.Sim().Now(), p.Rank(), pg, q, rec.ID)
 				p.Space().SetProt(int(pg), vm.ProtNone)
 				if p.Space().Frame(int(pg)) != nil {
 					// Unmapping a page the processor actually has mapped
@@ -451,7 +449,6 @@ func (t *Protocol) flushDiff(p *core.Proc, page int) {
 	frame := p.Space().Frame(page)
 	runs := MakeDiff(frame, twin)
 	d := Diff{Tag: tag, VT: dvt, Runs: runs}
-	tracef("t=%d r%d flushDiff page=%d tag=%d vt=%v bytes=%d c3frame=%v c3twin=%v", p.Sim().Now(), p.Rank(), page, d.Tag, d.VT, d.Bytes(), dbgVal(frame), dbgVal(twin))
 	st.diffs[page] = append(st.diffs[page], d)
 	delete(st.twins, page)
 	if p.Space().Prot(page).CanWrite() {
@@ -494,7 +491,6 @@ func (t *Protocol) validate(p *core.Proc, page int) {
 			if w == rank || known[w] <= applied[w] {
 				continue
 			}
-			tracef("t=%d r%d validate page=%d need writer=%d top=%d applied=%d", p.Sim().Now(), p.Rank(), page, w, known[w], applied[w])
 			t.diffRequests++
 			tok := p.EP().CallStart(t.rt.ProcByRank(w).EP(), kindDiffRequest,
 				diffReqMsg{Page: page, Applied: applied[w]}, 24)
@@ -532,7 +528,6 @@ func (t *Protocol) validate(p *core.Proc, page int) {
 			p.ChargeProtocol(p.Costs().DiffApplyBase + p.Costs().Copy(g.diff.Bytes()))
 			p.Stats().DiffsApplied++
 		}
-		tracef("t=%d r%d applied diff w%d tag=%d vt=%v c3=%v", p.Sim().Now(), p.Rank(), g.writer, g.diff.Tag, g.diff.VT, dbgVal(frame))
 	}
 	p.Space().SetProt(page, vm.ProtRead)
 	p.ChargeProtocol(p.Costs().ProtChange)
@@ -564,10 +559,8 @@ func (t *Protocol) fetchPage(p *core.Proc, page int) {
 		return
 	}
 	t.pageRequests++
-	tracef("t=%d r%d fetchPage page=%d from mgr=%d", p.Sim().Now(), p.Rank(), page, mgr)
 	reply := p.EP().Call(t.rt.ProcByRank(mgr).EP(), kindPageRequest, pageReqMsg{Page: page}, 16)
 	pr := reply.(pageReply)
-	tracef("t=%d r%d gotPage page=%d applied=%v", p.Sim().Now(), p.Rank(), page, pr.Applied)
 	copy(frame, pr.Data)
 	p.ChargeProtocol(p.Costs().Copy(vm.PageSize))
 	p.Stats().PageFetches++
@@ -599,7 +592,6 @@ func (t *Protocol) OnWriteFault(p *core.Proc, page int) {
 		t.validate(p, page)
 	}
 	if st.twins[page] == nil {
-		tracef("t=%d r%d twin page=%d cur=%d", p.Sim().Now(), p.Rank(), page, st.cur)
 		frame := p.MaterializedFrame(page)
 		st.twins[page] = append([]byte(nil), frame...)
 		p.ChargeProtocol(p.Costs().TwinCopy)
@@ -624,7 +616,6 @@ func (t *Protocol) Lock(p *core.Proc, id int) {
 	if st.lockSt[id] != lockFree {
 		panic(fmt.Sprintf("treadmarks: rank %d re-acquiring lock %d", p.Rank(), id))
 	}
-	tracef("t=%d r%d lock %d", p.Sim().Now(), p.Rank(), id)
 	mgrRank := t.lockManagerRank(id)
 	if mgrRank == p.Rank() {
 		mgr := t.mgr(p.Rank(), id)
@@ -679,7 +670,6 @@ func (t *Protocol) Unlock(p *core.Proc, id int) {
 	}
 	t.closeInterval(p)
 	st.lockSt[id] = lockFree
-	tracef("t=%d r%d unlock %d pending=%d", p.Sim().Now(), p.Rank(), id, len(st.pendingHandoff[id]))
 	if q := st.pendingHandoff[id]; len(q) > 0 {
 		h := q[0]
 		st.pendingHandoff[id] = q[1:]
@@ -833,18 +823,6 @@ func (t *Protocol) gcDrop(p *core.Proc) {
 	}
 }
 
-// dbgVal reads the float64 at byte offset 384 (test chunk 3) of a frame.
-func dbgVal(b []byte) float64 {
-	if b == nil || len(b) < 392 {
-		return -1
-	}
-	bits := uint64(0)
-	for i := 7; i >= 0; i-- {
-		bits = bits<<8 | uint64(b[128+i])
-	}
-	return mathFloat64frombits(bits)
-}
-
 // dispatchAt routes one raw inbox message through the endpoint's handler
 // path (used by the barrier manager's wait loop).
 func (t *Protocol) dispatchAt(p *core.Proc, m sim.Msg) {
@@ -869,7 +847,6 @@ func (t *Protocol) Service(p *core.Proc, m sim.Msg, req msg.Request) {
 		la := req.Data.(lockAcqMsg)
 		mgr := t.mgr(p.Rank(), la.Lock)
 		requester := t.rt.ProcBySimID(req.From).Rank()
-		tracef("t=%d r%d mgr acq lock=%d req=%d owner=%d", p.Sim().Now(), p.Rank(), la.Lock, requester, mgr.owner)
 		if mgr.owner < 0 {
 			// First acquire anywhere: grant with no history.
 			mgr.owner = int32(requester)
@@ -929,7 +906,6 @@ func (t *Protocol) Service(p *core.Proc, m sim.Msg, req msg.Request) {
 // critical section, else queues the requester.
 func (t *Protocol) handleHandoff(p *core.Proc, orig msg.Request, reqVT VT, lock int) {
 	st := t.state(p)
-	tracef("t=%d r%d handoff lock=%d from=%d state=%d", p.Sim().Now(), p.Rank(), lock, orig.From, st.lockSt[lock])
 	if !st.hasBaton[lock] || st.lockSt[lock] == lockHeld {
 		// Either we are inside the critical section, or our own baton is
 		// still in flight (we are acquiring a later chain position): the
@@ -981,7 +957,6 @@ func (t *Protocol) serveDiff(p *core.Proc, req msg.Request) {
 	if highest > covered {
 		covered = highest
 	}
-	tracef("t=%d r%d serveDiff page=%d appliedReq=%d -> %d diffs covered=%d (lastClosed=%d)", p.Sim().Now(), p.Rank(), page, dr.Applied, len(out), covered, st.lastClosedDirty[page])
 	p.ChargeProtocol(p.Costs().HandlerWork)
 	p.EP().ReplyClass(req.From, req, diffReply{Covered: covered, Diffs: out},
 		16+bytes, interconnect.TrafficPage)
@@ -1017,17 +992,6 @@ func (t *Protocol) servePage(p *core.Proc, req msg.Request) {
 
 // Finalize implements core.Protocol.
 func (t *Protocol) Finalize(p *core.Proc) {}
-
-// MaxCostJitter implements core.SchedulePerturbable: any cost inflation up
-// to 100% per operation is legal. TreadMarks' ordering decisions are all
-// logical, not temporal — vector timestamps order intervals, lock batons
-// order critical sections, the barrier manager counts arrivals — and every
-// wait is condition-based (Recv blocks until the reply message exists).
-// The conservative barrier-manager VT guess is the one timing-sensitive
-// heuristic, and it errs only toward re-sending intervals the manager
-// already has, never toward dropping any. Stretching costs therefore yields
-// another legal execution of the same protocol.
-func (t *Protocol) MaxCostJitter() float64 { return 1.0 }
 
 // Counters implements core.Protocol.
 func (t *Protocol) Counters() map[string]int64 {
